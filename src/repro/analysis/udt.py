@@ -113,7 +113,13 @@ class ClassType(DataType):
     Fields may be supplied at construction or added later with
     :meth:`add_field`, which allows building recursively-defined types
     (a ``Node`` whose ``next`` field is a ``Node``).
+
+    ``layout_epoch`` counts field additions across all classes; code
+    compiled from a class's shape (the closed-form footprints of
+    :mod:`repro.spark.measure`) is stale once it moves.
     """
+
+    layout_epoch = 0
 
     def __init__(self, name: str,
                  fields: Iterable[Field] | None = None) -> None:
@@ -132,6 +138,7 @@ class ClassType(DataType):
                 f"duplicate field {field.name!r} in class {self.name!r}")
         self._fields.append(field)
         self._by_name[field.name] = field
+        ClassType.layout_epoch += 1
         return field
 
     @property

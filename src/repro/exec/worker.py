@@ -129,9 +129,6 @@ class _NullGroup:
         self.freed = False
         self.live_objects = 0
 
-    def shrink(self, nbytes: int) -> None:
-        pass
-
 
 class _NullHeap:
     """Absorbs heap traffic: worker memory is real, not simulated."""
@@ -143,6 +140,9 @@ class _NullHeap:
         return _NullGroup(name)
 
     def allocate(self, group: _NullGroup, objects: int, nbytes: int) -> None:
+        pass
+
+    def shrink(self, group: _NullGroup, nbytes: int) -> None:
         pass
 
     def free_group(self, group: _NullGroup) -> None:

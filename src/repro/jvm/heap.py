@@ -52,7 +52,15 @@ class SimHeap:
         self.name = name
         self.collector = CollectorModel(config.gc_algorithm)
         self.stats = GcStats()
+        # DecaConfig is frozen: the generation sizes never change.
+        self.young_capacity = config.young_bytes
+        self.old_capacity = config.old_bytes
         self._groups: dict[int, AllocationGroup] = {}
+        # Running sums of the groups' young/old bytes.  The heap is their
+        # only writer: allocate, shrink and free_group adjust them, and
+        # each collection recounts them after its walk over the groups.
+        self._young_live = 0
+        self._old_live = 0
         # Garbage = bytes of freed groups not yet swept by a collection.
         self._young_garbage = 0
         self._old_garbage = 0
@@ -60,32 +68,24 @@ class SimHeap:
         self._gc_listeners: list[GcListener] = []
         self._in_full_gc = False
 
-    # -- capacity and occupancy ------------------------------------------------
-    @property
-    def young_capacity(self) -> int:
-        return self.config.young_bytes
-
-    @property
-    def old_capacity(self) -> int:
-        return self.config.old_bytes
-
+    # -- occupancy ----------------------------------------------------------------
     @property
     def young_live_bytes(self) -> int:
-        return sum(g.young_bytes for g in self._groups.values())
+        return self._young_live
 
     @property
     def old_live_bytes(self) -> int:
-        return sum(g.old_bytes for g in self._groups.values())
+        return self._old_live
 
     @property
     def young_used_bytes(self) -> int:
         """Live young bytes plus unswept young garbage."""
-        return self.young_live_bytes + self._young_garbage
+        return self._young_live + self._young_garbage
 
     @property
     def old_used_bytes(self) -> int:
         """Live old bytes plus unswept old garbage."""
-        return self.old_live_bytes + self._old_garbage
+        return self._old_live + self._old_garbage
 
     @property
     def live_objects(self) -> int:
@@ -94,7 +94,12 @@ class SimHeap:
 
     @property
     def live_bytes(self) -> int:
-        return sum(g.live_bytes for g in self._groups.values())
+        return self._young_live + self._old_live
+
+    def live_objects_matching(self, prefix: str) -> int:
+        """Live objects in allocation groups whose name has *prefix*."""
+        return sum(g.live_objects for g in self._groups.values()
+                   if g.name.startswith(prefix))
 
     # -- group management -------------------------------------------------------
     def new_group(self, name: str, lifetime: Lifetime) -> AllocationGroup:
@@ -105,13 +110,27 @@ class SimHeap:
 
     def free_group(self, group: AllocationGroup) -> None:
         """End a group's lifetime: its objects become unswept garbage."""
-        if group.group_id not in self._groups:
-            raise AllocationError(
-                f"group {group.name!r} does not belong to heap {self.name!r}")
+        self._check_member(group)
+        self._young_live -= group.young_bytes
+        self._old_live -= group.old_bytes
         self._young_garbage += group.young_bytes
         self._old_garbage += group.old_bytes
         group.free()
         del self._groups[group.group_id]
+
+    def shrink(self, group: AllocationGroup, nbytes: int) -> None:
+        """Give back *nbytes* of *group* without killing objects (a
+        realloc; see :meth:`AllocationGroup.shrink`)."""
+        self._check_member(group)
+        young, old = group.young_bytes, group.old_bytes
+        group.shrink(nbytes)
+        self._young_live -= young - group.young_bytes
+        self._old_live -= old - group.old_bytes
+
+    def _check_member(self, group: AllocationGroup) -> None:
+        if group.group_id not in self._groups:
+            raise AllocationError(
+                f"group {group.name!r} does not belong to heap {self.name!r}")
 
     def add_pressure_handler(self, handler: PressureHandler) -> None:
         """Register a callback asked to release space under memory pressure."""
@@ -134,9 +153,7 @@ class SimHeap:
         Triggers minor/full collections as the generations fill, exactly in
         the order a Hotspot heap would.
         """
-        if group.group_id not in self._groups:
-            raise AllocationError(
-                f"group {group.name!r} does not belong to heap {self.name!r}")
+        self._check_member(group)
         if objects < 0 or nbytes < 0:
             raise AllocationError("allocation sizes cannot be negative")
         if nbytes == 0 and objects == 0:
@@ -150,21 +167,23 @@ class SimHeap:
             # Humongous allocation: straight into the old generation.
             self._ensure_old_space(nbytes)
             group.record_allocation(objects, nbytes, into_old=True)
+            self._old_live += nbytes
             return
 
         if self.young_used_bytes + nbytes > self.young_capacity:
             self.minor_gc()
-        if self.young_used_bytes + nbytes > self.young_capacity:
-            # Survivors pinned in the young generation still block us.
-            self.full_gc()
-        if self.young_used_bytes + nbytes > self.young_capacity:
-            self._relieve_pressure(nbytes)
-        if self.young_used_bytes + nbytes > self.young_capacity:
-            raise OutOfMemoryError(
-                f"{self.name}: young generation exhausted "
-                f"({self.young_used_bytes}/{self.young_capacity} B, "
-                f"need {nbytes} B)")
+            if self.young_used_bytes + nbytes > self.young_capacity:
+                # Survivors pinned in the young generation still block us.
+                self.full_gc()
+            if self.young_used_bytes + nbytes > self.young_capacity:
+                self._relieve_pressure(nbytes)
+            if self.young_used_bytes + nbytes > self.young_capacity:
+                raise OutOfMemoryError(
+                    f"{self.name}: young generation exhausted "
+                    f"({self.young_used_bytes}/{self.young_capacity} B, "
+                    f"need {nbytes} B)")
         group.record_allocation(objects, nbytes)
+        self._young_live += nbytes
 
     # -- collections -----------------------------------------------------------
     def minor_gc(self) -> GcEvent:
@@ -212,6 +231,7 @@ class SimHeap:
             _, nbytes = group.promote_young()
             promoted_bytes += nbytes
         self._young_garbage = 0
+        self._recount_live()
 
         cost = self.collector.minor_cost(traced, survivor_bytes)
         self.clock.advance(cost.total_ms)
@@ -275,6 +295,7 @@ class SimHeap:
 
             self._young_garbage = 0
             self._old_garbage = 0
+            self._recount_live()
 
             cost = self.collector.full_cost(traced, self.live_bytes)
             self.clock.advance(cost.total_ms)
@@ -295,6 +316,16 @@ class SimHeap:
             self._in_full_gc = False
 
     # -- internals ----------------------------------------------------------------
+    def _recount_live(self) -> None:
+        """Reset the occupancy counters from the groups after a
+        collection has moved their bytes between generations."""
+        young = old = 0
+        for group in self._groups.values():
+            young += group.young_bytes
+            old += group.old_bytes
+        self._young_live = young
+        self._old_live = old
+
     def _ensure_old_space(self, nbytes: int) -> None:
         if self.old_used_bytes + nbytes <= self.old_capacity:
             # Even when it fits, crossing the occupancy threshold triggers

@@ -271,7 +271,8 @@ class PageGroup:
             # The caller holds (and has accounted) the copy; the source
             # page's heap charge can go.
             if self._alloc_group is not None and not self._alloc_group.freed:
-                self._alloc_group.shrink(array_bytes(1, page.capacity))
+                self.heap.shrink(self._alloc_group,
+                                 array_bytes(1, page.capacity))
         self.reclaim()
 
     def swap_chunks(self) -> list[memoryview]:
@@ -305,7 +306,7 @@ class PageGroup:
         after = array_bytes(1, page.capacity)
         saved = before - after
         if saved and self._alloc_group is not None:
-            self._alloc_group.shrink(saved)
+            self.heap.shrink(self._alloc_group, saved)
         if saved and self.on_resize is not None:
             self.on_resize(self, -saved)
         return saved

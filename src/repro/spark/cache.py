@@ -329,7 +329,7 @@ class CacheStore:
                     copy_bytes = array_bytes(1, len(chunk))
                     executor.heap.allocate(copy_group, 1, copy_bytes)
                     chunks.append(chunk)
-                    copy_group.shrink(copy_bytes)
+                    executor.heap.shrink(copy_group, copy_bytes)
                 block._disk_payload = chunks
             block.page_group = None
         if tier is not None:

@@ -137,15 +137,10 @@ class Executor:
         def tracked() -> int:
             if tracked_prefix is None:
                 return self.heap.live_objects
-            return self.live_objects_matching(tracked_prefix)
+            return self.heap.live_objects_matching(tracked_prefix)
         self.profiler = HeapProfiler(self.heap, self.clock, period_ms,
                                      tracked_counter=tracked)
         return self.profiler
-
-    def live_objects_matching(self, prefix: str) -> int:
-        """Live objects in allocation groups whose name has *prefix*."""
-        return sum(g.live_objects for g in self.heap._groups.values()
-                   if g.name.startswith(prefix))
 
     def _sample(self) -> None:
         if self.profiler is not None:

@@ -55,6 +55,9 @@ class UdtInfo:
     # boxed primitives; the footprint model should count those objects
     # even though the decomposition layout flattens them away.
     object_model: DataType | None = None
+    # Shapes a record for measurement (defaults to *encode*).  Footprints
+    # only read array lengths, so it may pass any sized stand-in for a
+    # primitive array, e.g. a ``str`` for its ``char[]``.
     measure_encode: Callable[[Any], Any] | None = None
     _cached_footprint: RecordFootprint | None = None
     _callgraph: CallGraph | None = None
@@ -69,12 +72,9 @@ class UdtInfo:
         """Footprint of one record (cached when sizes are constant)."""
         if self.constant_footprint and self._cached_footprint is not None:
             return self._cached_footprint
-        if self.object_model is not None:
-            encoder = self.measure_encode or self.to_schema_value
-            footprint = measure_typed(self.object_model, encoder(record))
-        else:
-            footprint = measure_typed(self.udt,
-                                      self.to_schema_value(record))
+        model = self.udt if self.object_model is None else self.object_model
+        encoder = self.measure_encode or self.to_schema_value
+        footprint = measure_typed(model, encoder(record))
         if self.constant_footprint:
             self._cached_footprint = footprint
         return footprint

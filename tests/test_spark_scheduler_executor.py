@@ -134,8 +134,8 @@ class TestTaskLifecycle:
         executor = ctx.executors[0]
         group = executor.new_pinned_group("cache:block-1")
         executor.heap.allocate(group, 42, 420)
-        assert executor.live_objects_matching("cache:") == 42
-        assert executor.live_objects_matching("shuffle") == 0
+        assert executor.heap.live_objects_matching("cache:") == 42
+        assert executor.heap.live_objects_matching("shuffle") == 0
 
 
 class TestJobMetrics:
